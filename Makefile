@@ -1,7 +1,7 @@
 # The paper-reproduction simulator is pure Go; these targets wrap the
 # toolchain invocations the project treats as canonical.
 
-.PHONY: build test lint prove check model bench benchsmoke pgo report mmudsmoke
+.PHONY: build test lint prove check model bench benchsmoke benchab pgo report mmudsmoke
 
 build:
 	go build ./...
@@ -51,6 +51,15 @@ bench: build
 # buildable PGO profile. CI runs this; wall times are NOT compared.
 benchsmoke:
 	sh scripts/bench_smoke.sh
+
+# benchab is the same-host A/B of the perfbench benchmark: BASE (by
+# default HEAD, so run it before committing) against the working tree,
+# 10 interleaved same-seed pairs per workload at BENCHMARK.json's
+# run_seconds, with per-metric medians, min-max spreads and a per-seed
+# counter-checksum check. Performance claims quote its output.
+BASE ?= HEAD
+benchab:
+	sh scripts/bench_ab.sh $(BASE)
 
 # mmudsmoke drives the mmud daemon end to end over HTTP: cache-hit
 # byte-identity, a chaos audit, SIGTERM drain, and journal replay.

@@ -86,6 +86,8 @@ func (ea EffectiveAddr) PageBase() EffectiveAddr { return ea &^ PageMask }
 
 // PageNumber returns the effective page number (ea >> 12). This is a
 // property of the effective address alone, before segmentation.
+//
+//mmutricks:noalloc
 func (ea EffectiveAddr) PageNumber() uint32 { return uint32(ea >> PageShift) }
 
 // IsKernel reports whether the address falls in the kernel's reserved

@@ -314,6 +314,63 @@ func (c *Cache) ZeroLine(pa arch.PhysAddr, class Class) (castout bool) {
 	return c.fill(set, tag, class, true)
 }
 
+// WritePattern is the store pattern of a batched run: reference i of
+// the run is a store iff bit i&3 of the pattern is set, so a run longer
+// than four references repeats the pattern. A line's dirty bit after a
+// run is the OR of the pattern bits of the references that touched it.
+type WritePattern uint8
+
+const (
+	// NoWrites makes every reference of the run a load.
+	NoWrites WritePattern = 0
+	// AllWrites makes every reference of the run a store.
+	AllWrites WritePattern = 0xF
+	// EveryFourthWrite is three loads then one store, repeating: the
+	// typical user read/write mix.
+	EveryFourthWrite WritePattern = 0x8
+)
+
+// WritesIf returns AllWrites when write is set and NoWrites otherwise.
+//
+//mmutricks:noalloc
+func WritesIf(write bool) WritePattern {
+	if write {
+		return AllWrites
+	}
+	return NoWrites
+}
+
+// Write reports whether reference i of the run is a store.
+//
+//mmutricks:noalloc
+func (w WritePattern) Write(i int) bool { return w.dirty(i) != 0 }
+
+// Rotate returns the pattern of the run's remainder after k references:
+// reference j of the result is reference k+j of w.
+//
+//mmutricks:noalloc
+func (w WritePattern) Rotate(k int) WritePattern {
+	w &= AllWrites
+	s := uint(k) & 3
+	return (w>>s | w<<(4-s)) & AllWrites
+}
+
+// dirty returns reference i's dirty bit.
+//
+//mmutricks:noalloc
+func (w WritePattern) dirty(i int) uint8 { return uint8(w>>(uint(i)&3)) & 1 }
+
+// anyIn reports whether any of the k references starting at reference
+// i is a store — whether a line those references share ends up dirty.
+//
+//mmutricks:noalloc
+func (w WritePattern) anyIn(i, k int) bool {
+	if k >= 4 {
+		return w&AllWrites != 0
+	}
+	return w.Rotate(i)&(1<<uint(k)-1) != 0
+}
+
 // MissRef records one missing reference within a run: the index of the
 // reference in the run and whether its fill cast out a dirty victim.
 type MissRef struct {
@@ -322,8 +379,9 @@ type MissRef struct {
 }
 
 // AccessRun performs n equally-strided accesses (pa, pa+stride, ...)
-// on behalf of class, exactly as n scalar Access calls would: same
-// counters, same final LRU/dirty state, same eviction attribution.
+// on behalf of class, reference i a store iff w.Write(i), exactly as n
+// scalar Access calls would: same counters, same final LRU/dirty state,
+// same eviction attribution.
 // Consecutive references landing on one resident line collapse into a
 // single sequence advance with the final LRU stamp (the intermediate
 // stamps are unobservable — a hit touches no other line). Missing
@@ -334,7 +392,7 @@ type MissRef struct {
 //
 //mmutricks:free misses are returned; the machine layer charges the fills
 //mmutricks:noalloc
-func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bool, misses []MissRef) (nmiss int) {
+func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, w WritePattern, misses []MissRef) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
 	lineSize := 1 << c.lineShift
 	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 {
@@ -346,10 +404,6 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 		step := uint32(stride) >> c.lineShift
 		ways := c.ways
 		seq := c.seq
-		var dirty uint8
-		if write {
-			dirty = 1
-		}
 		// Per-victim-class eviction counts accumulate in locals and
 		// flush once after the loop — the increments are the hottest
 		// stores in the simulator. Sized 8 and masked so indexing by
@@ -362,6 +416,7 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 				q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
 				want := la | lineKeyValid
 				seq++
+				dirty := w.dirty(i)
 				var hitLine *line
 				switch want {
 				case q[0].key:
@@ -424,10 +479,11 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 			lines := c.lines[base : base+ways]
 			want := la | lineKeyValid
 			seq++
+			dirty := w.dirty(i)
 			way := -1
-			for w := range lines {
-				if lines[w].key == want {
-					way = w
+			for j := range lines {
+				if lines[j].key == want {
+					way = j
 					break
 				}
 			}
@@ -440,14 +496,14 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 			victim := 0
 			castout := false
 			minLRU := ^uint64(0)
-			for w := range lines {
-				if lines[w].key&lineKeyValid == 0 {
-					victim = w
+			for j := range lines {
+				if lines[j].key&lineKeyValid == 0 {
+					victim = j
 					goto install
 				}
-				if lines[w].lru < minLRU {
-					minLRU = lines[w].lru
-					victim = w
+				if lines[j].lru < minLRU {
+					minLRU = lines[j].lru
+					victim = j
 				}
 			}
 			ev[lines[victim].class&7]++
@@ -483,16 +539,16 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 		lines := c.setLines(set)
 		want := la | lineKeyValid
 		way := -1
-		for w := range lines {
-			if lines[w].key == want {
-				way = w
+		for j := range lines {
+			if lines[j].key == want {
+				way = j
 				break
 			}
 		}
 		if way >= 0 {
 			c.seq += uint64(k)
 			lines[way].lru = c.seq
-			if write {
+			if w.anyIn(i, k) {
 				lines[way].dirty = 1
 			}
 		} else {
@@ -500,14 +556,14 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 			// hit the freshly filled line.
 			c.seq++
 			c.stats.Misses[class]++
-			castout := c.fill(set, la, class, write)
+			castout := c.fill(set, la, class, w.anyIn(i, k))
 			misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
 			nmiss++
 			if k > 1 {
 				c.seq += uint64(k - 1)
-				for w := range lines {
-					if lines[w].key == want {
-						lines[w].lru = c.seq
+				for j := range lines {
+					if lines[j].key == want {
+						lines[j].lru = c.seq
 						break
 					}
 				}
@@ -518,8 +574,17 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 	return nmiss
 }
 
-// AccessRunCount is AccessRun without the per-miss records: cache
-// state and statistics advance identically, but only the miss and
+// AccessRunCount is AccessRunCountPattern for a run whose references
+// are all stores (write) or all loads.
+//
+//mmutricks:free miss/castout counts are returned; the caller charges them
+//mmutricks:noalloc
+func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
+	return c.AccessRunCountPattern(pa, n, stride, class, WritesIf(write))
+}
+
+// AccessRunCountPattern is AccessRun without the per-miss records:
+// cache state and statistics advance identically, but only the miss and
 // castout counts come back. The machine layer uses it when the tracer
 // is off and there is no L2 — the per-miss fill costs are then
 // closed-form, so nothing downstream needs to know where the misses
@@ -527,7 +592,7 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, write bo
 //
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 //mmutricks:noalloc
-func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
+func (c *Cache) AccessRunCountPattern(pa arch.PhysAddr, n, stride int, class Class, w WritePattern) (nmiss, ncast int) {
 	c.stats.Accesses[class] += uint64(n)
 	lineSize := 1 << c.lineShift
 	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 && c.ways == 4 {
@@ -536,15 +601,12 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 		seq := c.seq
 		mask := c.setMask
 		lines := c.lines
-		var dirty uint8
-		if write {
-			dirty = 1
-		}
 		var ev, co [8]uint64
 		for i := 0; i < n; i++ {
 			q := (*[4]line)(lines[int(la&mask)*4:])
 			want := la | lineKeyValid
 			seq++
+			dirty := w.dirty(i)
 			// Probe all four ways with conditional moves, then branch
 			// once on hit/miss — runs are phase-coherent (a clear run
 			// misses throughout, a warm run hits throughout), so the
@@ -647,7 +709,7 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 				c.seq += uint64(k)
 				p := &q[wi&3]
 				p.lru = c.seq
-				if write {
+				if w.anyIn(i, k) {
 					p.dirty = 1
 				}
 			} else {
@@ -686,7 +748,7 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 					}
 				}
 				var d uint8
-				if write {
+				if w.anyIn(i, k) {
 					d = 1
 				}
 				nmiss++
@@ -709,30 +771,30 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 		lines := c.setLines(set)
 		want := la | lineKeyValid
 		way := -1
-		for w := range lines {
-			if lines[w].key == want {
-				way = w
+		for j := range lines {
+			if lines[j].key == want {
+				way = j
 				break
 			}
 		}
 		if way >= 0 {
 			c.seq += uint64(k)
 			lines[way].lru = c.seq
-			if write {
+			if w.anyIn(i, k) {
 				lines[way].dirty = 1
 			}
 		} else {
 			c.seq++
 			c.stats.Misses[class]++
-			if c.fill(set, la, class, write) {
+			if c.fill(set, la, class, w.anyIn(i, k)) {
 				ncast++
 			}
 			nmiss++
 			if k > 1 {
 				c.seq += uint64(k - 1)
-				for w := range lines {
-					if lines[w].key == want {
-						lines[w].lru = c.seq
+				for j := range lines {
+					if lines[j].key == want {
+						lines[j].lru = c.seq
 						break
 					}
 				}
@@ -750,7 +812,7 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 //
 //mmutricks:free misses are returned; the machine layer charges the uncached latency
 //mmutricks:noalloc
-func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, write bool, misses []MissRef) (nmiss int) {
+func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w WritePattern, misses []MissRef) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
 	for i := 0; i < n; {
 		a := pa + arch.PhysAddr(i*stride)
@@ -762,16 +824,16 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w
 		set := c.setLines(int(la & c.setMask))
 		want := la | lineKeyValid
 		way := -1
-		for w := range set {
-			if set[w].key == want {
-				way = w
+		for j := range set {
+			if set[j].key == want {
+				way = j
 				break
 			}
 		}
 		c.seq += uint64(k)
 		if way >= 0 {
 			set[way].lru = c.seq
-			if write {
+			if w.anyIn(i, k) {
 				set[way].dirty = 1
 			}
 		} else {

@@ -81,7 +81,7 @@ func (k *Kernel) kexecHandler(off uint32, n int) {
 func (k *Kernel) kdataDirect(off uint32, nbytes int, write bool) {
 	line := k.M.LineSize()
 	base := k.dataPA + arch.PhysAddr(off)
-	k.M.MemAccessRun(base, (nbytes+line-1)/line, line, cache.ClassKernelData, false, write)
+	k.M.MemAccessRun(base, (nbytes+line-1)/line, line, cache.ClassKernelData, false, cache.WritesIf(write))
 }
 
 // handleFault services a TLB miss (603) or hash-table miss (604).

@@ -172,14 +172,13 @@ func (k *Kernel) ptInhibited() bool { return !k.cfg.CachePageTables }
 // and page faults on the way. This is the simulated equivalent of one
 // load/store (or one line's instruction fetch) issued by running code.
 func (k *Kernel) access(t *Task, ea arch.EffectiveAddr, instr bool, class cache.Class, write bool) {
-	if write && t != nil && !ea.IsKernel() {
-		if len(t.cowPages) > 0 && t.isCOW(ea.PageNumber()) {
+	if write && t != nil && !ea.IsKernel() && t.storeTraps(ea.PageNumber()) {
+		pn := ea.PageNumber()
+		if t.isCOW(pn) {
 			k.cowBreak(t, ea)
 		}
-		if len(t.roPages) > 0 {
-			if _, ro := t.roPages[ea.PageNumber()]; ro {
-				k.protFault(t, ea)
-			}
+		if _, ro := t.roPages[pn]; ro {
+			k.protFault(t, ea)
 		}
 	}
 	pa, inhibited := k.translate(t, ea, instr)
@@ -237,7 +236,7 @@ func (k *Kernel) kdataRW(off uint32, nbytes int, write bool) {
 	base := uint32(kvirt(k.dataPA)) + off
 	k.AccessRun(k.cur, Run{
 		EA: arch.EffectiveAddr(base), Count: (nbytes + line - 1) / line, Stride: line,
-		Class: cache.ClassKernelData, Write: write,
+		Class: cache.ClassKernelData, Writes: cache.WritesIf(write),
 	})
 }
 
@@ -249,33 +248,17 @@ func (k *Kernel) kframe(pfn arch.PFN, off, nbytes int, class cache.Class, write 
 	base := uint32(kvirt(pfn.Addr())) + uint32(off)
 	k.AccessRun(k.cur, Run{
 		EA: arch.EffectiveAddr(base), Count: (nbytes + line - 1) / line, Stride: line,
-		Class: class, Write: write,
+		Class: class, Writes: cache.WritesIf(write),
 	})
 }
 
 // utouch performs user-mode data accesses covering [ea, ea+nbytes), one
-// per cache line, on behalf of the current task.
-// utouch models a typical user read/write mix: roughly one store per
-// four accesses.
+// per cache line, on behalf of the current task, in a typical user
+// read/write mix: three loads, then one store, repeating.
 func (k *Kernel) utouch(ea arch.EffectiveAddr, nbytes int) {
 	line := k.M.LineSize()
-	n := (nbytes + line - 1) / line
-	for j := 0; j < n; {
-		reads := 3
-		if rem := n - j; rem < reads {
-			reads = rem
-		}
-		k.AccessRun(k.cur, Run{
-			EA: ea + arch.EffectiveAddr(j*line), Count: reads, Stride: line,
-			Class: cache.ClassUser,
-		})
-		j += reads
-		if j < n {
-			k.AccessRun(k.cur, Run{
-				EA: ea + arch.EffectiveAddr(j*line), Count: 1, Stride: line,
-				Class: cache.ClassUser, Write: true,
-			})
-			j++
-		}
-	}
+	k.AccessRun(k.cur, Run{
+		EA: ea, Count: (nbytes + line - 1) / line, Stride: line,
+		Class: cache.ClassUser, Writes: cache.EveryFourthWrite,
+	})
 }

@@ -7,24 +7,25 @@ package kernel
 // replays the per-reference translation side effects (hit counters,
 // TLB LRU/sequence) in closed form, and hands the streak to the
 // machine's batch cache simulation. Anything that can deviate from
-// the straight-line pattern — fault injection, COW/RO write checks —
-// forces the scalar loop, so counters, trace emits, and cycle charges
-// stay reference-for-reference identical to scalar execution.
+// the straight-line pattern — fault injection, a store to a COW or
+// write-protected page — forces the scalar loop, so counters, trace
+// emits, and cycle charges stay reference-for-reference identical to
+// scalar execution.
 
 import (
 	"mmutricks/internal/arch"
 	"mmutricks/internal/cache"
 )
 
-// Run describes a batch of references sharing class, width, and
-// direction: Count references at EA, EA+Stride, ... Stride is in
-// bytes and must be positive.
+// Run describes a batch of references sharing class and width: Count
+// references at EA, EA+Stride, ..., reference i a store iff
+// Writes.Write(i). Stride is in bytes and must be positive.
 type Run struct {
 	EA     arch.EffectiveAddr
 	Count  int
 	Stride int
 	Class  cache.Class
-	Write  bool
+	Writes cache.WritePattern
 	Instr  bool
 }
 
@@ -168,23 +169,25 @@ func (k *Kernel) dataResident(ea arch.EffectiveAddr) bool {
 // AccessRun performs r.Count accesses on behalf of task t, splitting
 // the run at page boundaries: one translation (and fault resolution)
 // per page streak, batched cache simulation for the streak's
-// references. Fault injection and pending COW/RO write checks force
-// the scalar loop — those paths must observe every reference.
+// references. Each streak's write pattern is the run's, rotated by the
+// references already issued. Fault injection forces the scalar loop for
+// the whole run; a streak that stores to a COW or write-protected page
+// runs scalar on its own — those paths must observe every reference.
+// The streak check is exact: nothing a streak does can make its own
+// page COW or write-protected.
 //
 //mmutricks:noalloc
 func (k *Kernel) AccessRun(t *Task, r Run) {
 	if r.Count <= 0 {
 		return
 	}
-	if k.M.Inj != nil ||
-		(r.Write && t != nil && !r.EA.IsKernel() && (len(t.cowPages) > 0 || len(t.roPages) > 0)) {
-		for i := 0; i < r.Count; i++ {
-			k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Write) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design
-		}
+	if k.M.Inj != nil {
+		k.accessEach(t, r) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design
 		return
 	}
 	ea := r.EA
 	n := r.Count
+	w := r.Writes
 	for n > 0 {
 		off := int(ea.Offset())
 		var cnt int
@@ -198,16 +201,31 @@ func (k *Kernel) AccessRun(t *Task, r Run) {
 				cnt = n
 			}
 		}
-		pa, inh := k.translate(t, ea, r.Instr)
-		if cnt > 1 {
-			k.replayHits(ea, r.Instr, cnt-1)
-		}
-		if r.Instr {
-			k.M.FetchRun(pa, cnt, r.Stride, r.Class, inh)
+		if w != cache.NoWrites && t != nil && !ea.IsKernel() && t.storeTraps(ea.PageNumber()) {
+			streak := r
+			streak.EA, streak.Count, streak.Writes = ea, cnt, w
+			k.accessEach(t, streak) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design
 		} else {
-			k.M.MemAccessRun(pa, cnt, r.Stride, r.Class, inh, r.Write)
+			pa, inh := k.translate(t, ea, r.Instr)
+			if cnt > 1 {
+				k.replayHits(ea, r.Instr, cnt-1)
+			}
+			if r.Instr {
+				k.M.FetchRun(pa, cnt, r.Stride, r.Class, inh)
+			} else {
+				k.M.MemAccessRun(pa, cnt, r.Stride, r.Class, inh, w)
+			}
 		}
 		ea += arch.EffectiveAddr(cnt * r.Stride)
 		n -= cnt
+		w = w.Rotate(cnt)
+	}
+}
+
+// accessEach performs r reference by reference through the scalar
+// access path.
+func (k *Kernel) accessEach(t *Task, r Run) {
+	for i := 0; i < r.Count; i++ {
+		k.access(t, r.EA+arch.EffectiveAddr(i*r.Stride), r.Instr, r.Class, r.Writes.Write(i))
 	}
 }

@@ -179,7 +179,7 @@ func (k *Kernel) clearPageIdle(pfn arch.PFN, inhibited bool) {
 	start := k.M.Led.Now()
 	k.kexec(textIdle+0x200, idleClearInstr)
 	line := k.M.LineSize()
-	k.M.MemAccessRun(pfn.Addr(), arch.PageSize/line, line, cache.ClassIdle, inhibited, true)
+	k.M.MemAccessRun(pfn.Addr(), arch.PageSize/line, line, cache.ClassIdle, inhibited, cache.AllWrites)
 	// EA carries the physical frame address: the page has no virtual
 	// identity yet.
 	k.M.Trc.Emit(mmtrace.KindPageZero, 0, arch.EffectiveAddr(pfn.Addr()), k.M.Led.Now()-start, 0)

@@ -179,12 +179,28 @@ func (t *Task) markCOW(pn uint32) {
 	t.cowPages[pn] = struct{}{}
 }
 
+//mmutricks:noalloc
 func (t *Task) isCOW(pn uint32) bool {
 	_, ok := t.cowPages[pn]
 	return ok
 }
 
 func (t *Task) clearCOW(pn uint32) { delete(t.cowPages, pn) }
+
+// storeTraps reports whether a store to page pn traps: a COW break or a
+// protection fault.
+//
+//mmutricks:noalloc
+func (t *Task) storeTraps(pn uint32) bool {
+	if len(t.cowPages) > 0 && t.isCOW(pn) {
+		return true
+	}
+	if len(t.roPages) > 0 {
+		_, ro := t.roPages[pn]
+		return ro
+	}
+	return false
+}
 
 // Regions returns a copy of the task's region list.
 func (t *Task) Regions() []*Region { return append([]*Region(nil), t.regions...) }

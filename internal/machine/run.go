@@ -51,18 +51,18 @@ func (m *Machine) runChunk(n, stride int, locked bool) int {
 }
 
 // MemAccessRun performs n equally-strided data accesses (pa,
-// pa+stride, ...) on behalf of one traffic class — the batched
-// equivalent of n MemAccess calls.
+// pa+stride, ...) on behalf of one traffic class, reference i a store
+// iff w.Write(i) — the batched equivalent of n MemAccess calls.
 //
 //mmutricks:noalloc
-func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool) {
+func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited bool, w cache.WritePattern) {
 	if n <= 0 {
 		return
 	}
 	if m.Inj != nil {
 		// Injection polls are per-reference; keep the scalar loop.
 		for i := 0; i < n; i++ {
-			m.MemAccess(pa+arch.PhysAddr(i*stride), class, inhibited, write)
+			m.MemAccess(pa+arch.PhysAddr(i*stride), class, inhibited, w.Write(i))
 		}
 		return
 	}
@@ -84,27 +84,28 @@ func (m *Machine) MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Clas
 	if !m.cacheLocked && !m.Trc.Enabled() && m.L2 == nil {
 		// Tracer off, no L2: fill costs are closed-form, so the run
 		// needs neither per-miss records nor chunking.
-		nmiss, ncast := m.DCache.AccessRunCount(pa, n, stride, class, write)
+		nmiss, ncast := m.DCache.AccessRunCountPattern(pa, n, stride, class, w)
 		m.Led.Charge(clock.Cycles(n) + clock.Cycles((nmiss+ncast)*m.Model.MemLatency))
 		return
 	}
 	for n > 0 {
 		chunk := m.runChunk(n, stride, m.cacheLocked)
 		if m.cacheLocked {
-			m.lockedRun(pa, chunk, stride, class, write)
+			m.lockedRun(pa, chunk, stride, class, w)
 		} else {
-			m.cachedRun(pa, chunk, stride, class, write)
+			m.cachedRun(pa, chunk, stride, class, w)
 		}
 		pa += arch.PhysAddr(chunk * stride)
 		n -= chunk
+		w = w.Rotate(chunk)
 	}
 }
 
 // cachedRun simulates one chunk through the allocating D-cache.
 //
 //mmutricks:noalloc
-func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, write bool) {
-	nmiss := m.DCache.AccessRun(pa, n, stride, class, write, m.missBuf[:])
+func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, w cache.WritePattern) {
+	nmiss := m.DCache.AccessRun(pa, n, stride, class, w, m.missBuf[:])
 	if !m.Trc.Enabled() {
 		// No emit points inside the chunk, so the per-reference charges
 		// coalesce; the L2 is still consulted per miss in order.
@@ -151,8 +152,8 @@ func (m *Machine) cachedRun(pa arch.PhysAddr, n, stride int, class cache.Class, 
 // touching the L2, matching the scalar locked path).
 //
 //mmutricks:noalloc
-func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, write bool) {
-	nmiss := m.DCache.AccessNoAllocRun(pa, n, stride, class, write, m.missBuf[:])
+func (m *Machine) lockedRun(pa arch.PhysAddr, n, stride int, class cache.Class, w cache.WritePattern) {
+	nmiss := m.DCache.AccessNoAllocRun(pa, n, stride, class, w, m.missBuf[:])
 	lat := clock.Cycles(m.Model.MemLatency)
 	if !m.Trc.Enabled() {
 		m.Led.Charge(clock.Cycles(n-nmiss) + lat*clock.Cycles(nmiss))
@@ -201,7 +202,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 	if !m.Trc.Enabled() && m.L2 == nil {
 		// Fetch misses never cast out a charge (absorbed as on the
 		// scalar fetch path), so only the miss count matters.
-		nmiss, _ := m.ICache.AccessRunCount(pa, n, stride, class, false)
+		nmiss, _ := m.ICache.AccessRunCountPattern(pa, n, stride, class, cache.NoWrites)
 		if nmiss > 0 {
 			fills := clock.Cycles(nmiss * m.Model.MemLatency)
 			m.Led.Charge(fills)
@@ -211,7 +212,7 @@ func (m *Machine) FetchRun(pa arch.PhysAddr, n, stride int, class cache.Class, i
 	}
 	for n > 0 {
 		chunk := m.runChunk(n, stride, false)
-		nmiss := m.ICache.AccessRun(pa, chunk, stride, class, false, m.missBuf[:])
+		nmiss := m.ICache.AccessRun(pa, chunk, stride, class, cache.NoWrites, m.missBuf[:])
 		if !m.Trc.Enabled() {
 			var total clock.Cycles
 			if m.L2 == nil {

@@ -51,7 +51,11 @@ type Memory struct {
 	inUse   []bool
 	cleared []arch.PFN
 	onList  []bool
-	stats   Stats
+	// freeOnList counts the frames on the free stack that are also on
+	// the cleared list, so PopClearedCandidate can tell in O(1) that
+	// every free frame is already cleared.
+	freeOnList int
+	stats      Stats
 }
 
 // New builds a memory of the given size with the given kernel image
@@ -131,6 +135,9 @@ func (m *Memory) AllocFrame() (pfn arch.PFN, ok bool) {
 	}
 	pfn = m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
+	if m.onList[pfn] {
+		m.freeOnList--
+	}
 	m.inUse[pfn] = true
 	m.stats.Allocated++
 	return pfn, true
@@ -156,10 +163,15 @@ func (m *Memory) InUse(pfn arch.PFN) bool {
 	return int(pfn) < m.frames && m.inUse[pfn]
 }
 
-// PopClearedCandidate removes one free frame for the idle task to
-// clear, without marking it allocated. Returns false when nothing is
-// free or everything free is already on the cleared list.
+// PopClearedCandidate returns the most recently freed frame that is
+// not yet on the cleared list, for the idle task to clear; it neither
+// allocates the frame nor removes it from the free stack. Returns false
+// when nothing is free or everything free is already on the cleared
+// list — the idle loop's common case, answered without a scan.
 func (m *Memory) PopClearedCandidate() (arch.PFN, bool) {
+	if m.freeOnList == len(m.free) {
+		return 0, false
+	}
 	for i := len(m.free) - 1; i >= 0; i-- {
 		pfn := m.free[i]
 		if !m.onList[pfn] {
@@ -178,6 +190,7 @@ func (m *Memory) PushCleared(pfn arch.PFN) {
 		return
 	}
 	m.onList[pfn] = true
+	m.freeOnList++
 	m.cleared = append(m.cleared, pfn)
 	m.stats.IdleCleared++
 }
@@ -194,9 +207,13 @@ func (m *Memory) GetFreePage() (pfn arch.PFN, cleared, ok bool) {
 	for len(m.cleared) > 0 {
 		pfn = m.cleared[len(m.cleared)-1]
 		m.cleared = m.cleared[:len(m.cleared)-1]
+		wasOn := m.onList[pfn]
 		m.onList[pfn] = false
 		if m.inUse[pfn] {
 			continue // frame was grabbed by AllocFrame since clearing
+		}
+		if wasOn {
+			m.freeOnList--
 		}
 		// Remove it from the free stack.
 		for i := len(m.free) - 1; i >= 0; i-- {

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -243,5 +244,79 @@ func TestAllocFreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanCandidate is PopClearedCandidate's reference: the linear scan
+// from the top of the free stack it answers with.
+func scanCandidate(m *Memory) (arch.PFN, bool) {
+	for i := len(m.free) - 1; i >= 0; i-- {
+		if pfn := m.free[i]; !m.onList[pfn] {
+			return pfn, true
+		}
+	}
+	return 0, false
+}
+
+// PopClearedCandidate's O(1) all-cleared answer must never change what
+// it returns: over seeded random sequences of allocations, frees,
+// pushes, cleared-list pops and candidate pops, it agrees with the
+// linear scan at every step, and the free-and-cleared count it keeps
+// matches a recount.
+func TestPopClearedCandidateMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := New(1<<20, 64<<10) // a small machine: 256 frames, most free
+		var held []arch.PFN
+		for step := 0; step < 4000; step++ {
+			switch op := r.Intn(10); {
+			case op < 2:
+				if pfn, ok := m.AllocFrame(); ok {
+					held = append(held, pfn)
+				}
+			case op < 4:
+				if pfn, _, ok := m.GetFreePage(); ok {
+					held = append(held, pfn)
+				}
+			case op < 6:
+				if len(held) > 0 {
+					i := r.Intn(len(held))
+					m.FreeFrame(held[i])
+					held = append(held[:i], held[i+1:]...)
+				}
+			case op < 9:
+				// The idle task: clear the candidate (most often), or
+				// push an arbitrary frame, busy or not.
+				if pfn, ok := m.PopClearedCandidate(); ok && op < 8 {
+					m.PushCleared(pfn)
+				} else {
+					m.PushCleared(m.layout.FirstFree + arch.PFN(r.Intn(m.frames-int(m.layout.FirstFree))))
+				}
+			default:
+				// Drain the candidates: the all-cleared state the
+				// counter answers without a scan.
+				for {
+					pfn, ok := m.PopClearedCandidate()
+					if !ok {
+						break
+					}
+					m.PushCleared(pfn)
+				}
+			}
+			gotPFN, gotOK := m.PopClearedCandidate()
+			wantPFN, wantOK := scanCandidate(m)
+			if gotPFN != wantPFN || gotOK != wantOK {
+				t.Fatalf("seed %d step %d: PopClearedCandidate = (%d, %v), scan = (%d, %v)", seed, step, gotPFN, gotOK, wantPFN, wantOK)
+			}
+			n := 0
+			for _, pfn := range m.free {
+				if m.onList[pfn] {
+					n++
+				}
+			}
+			if n != m.freeOnList {
+				t.Fatalf("seed %d step %d: freeOnList = %d, recount %d", seed, step, m.freeOnList, n)
+			}
+		}
 	}
 }

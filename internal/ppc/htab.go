@@ -80,7 +80,7 @@ func (h *HTAB) touch(bus Bus, group, slot int, write bool) {
 // simulate a batch of equally-strided accesses in one call with
 // observable behaviour identical to the equivalent scalar loop.
 type runBus interface {
-	MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited, write bool)
+	MemAccessRun(pa arch.PhysAddr, n, stride int, class cache.Class, inhibited bool, w cache.WritePattern)
 }
 
 // touchRun performs n consecutive-slot touches starting at slot. The
@@ -94,7 +94,7 @@ func (h *HTAB) touchRun(bus Bus, group, slot, n int, write bool) {
 		return
 	}
 	if rb, ok := bus.(runBus); ok {
-		rb.MemAccessRun(h.EntryAddr(group, slot), n, arch.PTEBytes, cache.ClassHashTable, h.inhibited, write) //mmutricks:noalloc-ok interface batch entry proven at its machine.Machine implementation
+		rb.MemAccessRun(h.EntryAddr(group, slot), n, arch.PTEBytes, cache.ClassHashTable, h.inhibited, cache.WritesIf(write)) //mmutricks:noalloc-ok interface batch entry proven at its machine.Machine implementation
 		return
 	}
 	for i := 0; i < n; i++ {
