@@ -70,7 +70,9 @@ func (c Class) String() string {
 const lineKeyValid uint32 = 1 << 31
 
 // line is one cache line's state, packed to 16 bytes so a 4-way set
-// occupies a single host cache line.
+// occupies a single host cache line. An invalid line is always the
+// zero line (nothing invalidates but by writing line{}), which the
+// victim choice and the eviction charges rely on.
 type line struct {
 	key   uint32 // tag | lineKeyValid when resident; 0 when invalid
 	class uint8
@@ -134,12 +136,16 @@ func (s *Stats) PollutionBy(c Class) uint64 {
 }
 
 // Cache is one set-associative L1 cache (instruction or data). Lines
-// are stored flat (set-major): one bounds-checked slice index reaches
-// any set, with no per-set pointer chase on the hot path.
+// are stored in blocks of four, set-major: way j of set s is slot
+// s*ways+j of the blocks read as one flat sequence. A 4-way set — both
+// L1 geometries — is exactly one block, so the 4-way kernels reach a
+// set with one bounds-checked index; 1- and 2-way sets share a block
+// and an 8-way set spans two.
 type Cache struct {
 	name      string
-	lines     []line
+	blocks    [][4]line
 	ways      int
+	setBlocks int // blocks one set's slots touch: max(1, ways/4)
 	lineShift uint
 	setMask   uint32
 	seq       uint64
@@ -154,7 +160,7 @@ func New(name string, size, ways, lineSize int) *Cache {
 	}
 	nlines := size / lineSize
 	nsets := nlines / ways
-	if nsets*ways*lineSize != size || nsets&(nsets-1) != 0 {
+	if nsets*ways*lineSize != size || nsets&(nsets-1) != 0 || ways&(ways-1) != 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry size=%d ways=%d line=%d", name, size, ways, lineSize))
 	}
 	shift := uint(0)
@@ -163,8 +169,9 @@ func New(name string, size, ways, lineSize int) *Cache {
 	}
 	return &Cache{
 		name:      name,
-		lines:     make([]line, nlines),
+		blocks:    make([][4]line, (nlines+3)/4),
 		ways:      ways,
+		setBlocks: max(1, ways/4),
 		lineShift: shift,
 		setMask:   uint32(nsets - 1),
 	}
@@ -176,15 +183,7 @@ func (c *Cache) Name() string { return c.name }
 // Sets returns the number of sets.
 //
 //mmutricks:noalloc
-func (c *Cache) Sets() int { return len(c.lines) / c.ways }
-
-// setLines returns the ways of one set as a subslice of the flat array.
-//
-//mmutricks:noalloc
-func (c *Cache) setLines(set int) []line {
-	base := set * c.ways
-	return c.lines[base : base+c.ways]
-}
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -195,12 +194,133 @@ func (c *Cache) LineSize() int { return 1 << c.lineShift }
 // Stats returns a pointer to the live counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// index splits a physical address into set index and tag.
+// slot returns flat slot f: way f%ways of set f/ways.
 //
 //mmutricks:noalloc
-func (c *Cache) index(pa arch.PhysAddr) (set int, tag uint32) {
-	lineAddr := uint32(pa) >> c.lineShift
-	return int(lineAddr & c.setMask), lineAddr
+func (c *Cache) slot(f int) *line { return &c.blocks[f>>2][f&3] }
+
+// probe4 returns the way of the 4-way block q that holds want, or -1:
+// the one 4-way probe. Keys are unique within a set, so the first match
+// is the only one.
+//
+//mmutricks:noalloc
+func probe4(q *[4]line, want uint32) int {
+	switch want {
+	case q[0].key:
+		return 0
+	case q[1].key:
+		return 1
+	case q[2].key:
+		return 2
+	case q[3].key:
+		return 3
+	}
+	return -1
+}
+
+// victim4 returns the way of the 4-way set q a fill replaces: the one
+// 4-way victim choice. The rule is the first invalid way, else the
+// least recently used one, and a strict-compare minimum over the stamps
+// computes it: an invalid line is the zero line (stamp 0), a resident
+// line's stamp is at least 1 (the sequence advances before every
+// stamp), and the earliest way wins every tie. The tournament keeps the
+// four loads independent.
+//
+//mmutricks:noalloc
+func victim4(q *[4]line) int {
+	m01, i01 := q[0].lru, 0
+	if l1 := q[1].lru; l1 < m01 {
+		m01, i01 = l1, 1
+	}
+	m23, i23 := q[2].lru, 2
+	if l3 := q[3].lru; l3 < m23 {
+		m23, i23 = l3, 3
+	}
+	if m23 < m01 {
+		return i23
+	}
+	return i01
+}
+
+// install fills victim v with want on behalf of class, stamped seq:
+// the one miss path of every route and geometry. It charges the fill
+// and v's eviction — the pollution matrix and, for a dirty victim, a
+// castout — to the counters directly; an invalid v is the zero line,
+// so it charges nothing. It reports whether v was dirty (a writeback
+// the caller charges).
+//
+//mmutricks:noalloc
+func (c *Cache) install(v *line, want uint32, class Class, dirty uint8, seq uint64) (castout bool) {
+	c.stats.Fills[class]++
+	c.stats.EvictedBy[v.class][class] += uint64(v.key >> 31) // the valid bit
+	c.stats.Castouts[v.class] += uint64(v.dirty)
+	castout = v.dirty != 0
+	v.key, v.class, v.dirty, v.lru = want, uint8(class), dirty, seq
+	return castout
+}
+
+// lookup returns the line of set that holds want, or nil, on any
+// geometry: it probes every block the set's slots lie in — a 4-way set
+// is one block. A key of another set sharing a block can never equal
+// want (the set index is part of the line address), so whole-block
+// probes are exact.
+//
+//mmutricks:noalloc
+func (c *Cache) lookup(set int, want uint32) *line {
+	for b := range c.setBlocks {
+		q := &c.blocks[set*c.ways>>2+b]
+		if i := probe4(q, want); i >= 0 {
+			return &q[i&3]
+		}
+	}
+	return nil
+}
+
+// fill installs want in set on any geometry. The 4-way kernels inline
+// victim4 and install instead: a call per miss costs a miss-heavy run
+// a quarter of its time.
+//
+//mmutricks:noalloc
+func (c *Cache) fill(set int, want uint32, class Class, dirty uint8, seq uint64) (castout bool) {
+	if c.ways == 4 {
+		q := &c.blocks[set]
+		return c.install(&q[victim4(q)&3], want, class, dirty, seq)
+	}
+	// The same rule as victim4, as a scan of the set's slots.
+	v := c.slot(set * c.ways)
+	for f := set*c.ways + 1; f < (set+1)*c.ways; f++ {
+		if l := c.slot(f); l.lru < v.lru {
+			v = l
+		}
+	}
+	return c.install(v, want, class, dirty, seq)
+}
+
+// ref performs the references of a streak on line address la, the last
+// taking sequence number seq: a hit restamps the line and ORs in dirty,
+// a miss fills. A streak's intermediate stamps are unobservable — a
+// hit touches no other line — so k references to one line are one ref
+// with the sequence advanced by k.
+//
+//mmutricks:noalloc
+func (c *Cache) ref(la uint32, class Class, dirty uint8, seq uint64) (hit, castout bool) {
+	set, want := int(la&c.setMask), la|lineKeyValid
+	if l := c.lookup(set, want); l != nil {
+		l.lru = seq
+		l.dirty |= dirty
+		return true, false
+	}
+	return false, c.fill(set, want, class, dirty, seq)
+}
+
+// dirtyIf returns the dirty bit a reference leaves: 1 for a store.
+//
+//mmutricks:noalloc
+func dirtyIf(write bool) uint8 {
+	if write {
+		return 1
+	}
+	return 0
 }
 
 // Access performs one cached access on behalf of class. It returns
@@ -214,45 +334,20 @@ func (c *Cache) index(pa arch.PhysAddr) (set int, tag uint32) {
 //mmutricks:noalloc
 func (c *Cache) Access(pa arch.PhysAddr, class Class, write bool) (hit, castout bool) {
 	c.stats.Accesses[class]++
-	set, tag := c.index(pa)
-	want := tag | lineKeyValid
 	c.seq++
-	if c.ways == 4 {
-		q := (*[4]line)(c.lines[set*4:])
-		var hitLine *line
-		switch want {
-		case q[0].key:
-			hitLine = &q[0]
-		case q[1].key:
-			hitLine = &q[1]
-		case q[2].key:
-			hitLine = &q[2]
-		case q[3].key:
-			hitLine = &q[3]
-		}
-		if hitLine != nil {
-			hitLine.lru = c.seq
-			if write {
-				hitLine.dirty = 1
-			}
-			return true, false
-		}
-		c.stats.Misses[class]++
-		return false, c.fill(set, tag, class, write)
-	}
-	lines := c.setLines(set)
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].lru = c.seq
-			if write {
-				lines[i].dirty = 1
-			}
-			return true, false
-		}
+	la := uint32(pa) >> c.lineShift
+	set, want := int(la&c.setMask), la|lineKeyValid
+	if l := c.lookup(set, want); l != nil {
+		l.lru = c.seq
+		l.dirty |= dirtyIf(write)
+		return true, false
 	}
 	c.stats.Misses[class]++
-	castout = c.fill(set, tag, class, write)
-	return false, castout
+	if c.ways == 4 {
+		q := &c.blocks[set]
+		return false, c.install(&q[victim4(q)&3], want, class, dirtyIf(write), c.seq)
+	}
+	return false, c.fill(set, want, class, dirtyIf(write), c.seq)
 }
 
 // AccessInhibited performs a cache-inhibited access: it never hits and
@@ -272,18 +367,12 @@ func (c *Cache) AccessInhibited(class Class) {
 //mmutricks:noalloc
 func (c *Cache) AccessNoAlloc(pa arch.PhysAddr, class Class, write bool) (hit bool) {
 	c.stats.Accesses[class]++
-	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
 	c.seq++
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].lru = c.seq
-			if write {
-				lines[i].dirty = 1
-			}
-			return true
-		}
+	la := uint32(pa) >> c.lineShift
+	if l := c.lookup(int(la&c.setMask), la|lineKeyValid); l != nil {
+		l.lru = c.seq
+		l.dirty |= dirtyIf(write)
+		return true
 	}
 	c.stats.Misses[class]++
 	return false
@@ -293,25 +382,15 @@ func (c *Cache) AccessNoAlloc(pa arch.PhysAddr, class Class, write bool) (hit bo
 // zeroed and dirty, WITHOUT reading memory. §9 notes the authors
 // avoided it for bzero() "for the same reason" as cached idle clearing:
 // it trades a memory read for maximal cache pollution. It returns
-// whether a dirty victim was cast out.
+// whether a dirty victim was cast out. It counts as an access but not a
+// (latency-bearing) miss: the fill needs no memory read.
 //
 //mmutricks:free the castout is returned; machine.ZeroLine charges it
 func (c *Cache) ZeroLine(pa arch.PhysAddr, class Class) (castout bool) {
 	c.stats.Accesses[class]++
-	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
 	c.seq++
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].lru = c.seq
-			lines[i].dirty = 1
-			return false
-		}
-	}
-	// Counts as an access but not a (latency-bearing) miss: the fill
-	// needs no memory read.
-	return c.fill(set, tag, class, true)
+	_, castout = c.ref(uint32(pa)>>c.lineShift, class, 1, c.seq)
+	return castout
 }
 
 // WritePattern is the store pattern of a batched run: reference i of
@@ -381,196 +460,15 @@ type MissRef struct {
 // AccessRun performs n equally-strided accesses (pa, pa+stride, ...)
 // on behalf of class, reference i a store iff w.Write(i), exactly as n
 // scalar Access calls would: same counters, same final LRU/dirty state,
-// same eviction attribution.
-// Consecutive references landing on one resident line collapse into a
-// single sequence advance with the final LRU stamp (the intermediate
-// stamps are unobservable — a hit touches no other line). Missing
-// references are recorded in misses, in reference order, so the
-// machine layer can charge fills and emit trace events at the right
-// points; the caller's buffer must hold one entry per distinct line
-// the run can touch.
+// same eviction attribution. Missing references are recorded in misses,
+// in reference order, so the machine layer can charge fills and emit
+// trace events at the right points; the caller's buffer must hold one
+// entry per distinct line the run can touch.
 //
 //mmutricks:free misses are returned; the machine layer charges the fills
 //mmutricks:noalloc
 func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, w WritePattern, misses []MissRef) (nmiss int) {
-	c.stats.Accesses[class] += uint64(n)
-	lineSize := 1 << c.lineShift
-	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 {
-		// Line-aligned references with a line-multiple stride — the
-		// dominant shape (one access per line): no two references share
-		// a line, so each is one probe with the fill inlined. The probe
-		// and the victim scan share one pass's state.
-		la := uint32(pa) >> c.lineShift
-		step := uint32(stride) >> c.lineShift
-		ways := c.ways
-		seq := c.seq
-		// Per-victim-class eviction counts accumulate in locals and
-		// flush once after the loop — the increments are the hottest
-		// stores in the simulator. Sized 8 and masked so indexing by
-		// the victim's class byte needs no bounds check.
-		var ev, co [8]uint64
-		if ways == 4 {
-			// Both L1 geometries are 4-way; unrolling the probe and
-			// victim scans removes all per-way loop overhead.
-			for i := 0; i < n; i++ {
-				q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
-				want := la | lineKeyValid
-				seq++
-				dirty := w.dirty(i)
-				var hitLine *line
-				switch want {
-				case q[0].key:
-					hitLine = &q[0]
-				case q[1].key:
-					hitLine = &q[1]
-				case q[2].key:
-					hitLine = &q[2]
-				case q[3].key:
-					hitLine = &q[3]
-				}
-				if hitLine != nil {
-					hitLine.lru = seq
-					hitLine.dirty |= dirty
-					la += step
-					continue
-				}
-				victim := &q[0]
-				castout := false
-				switch {
-				case q[0].key&lineKeyValid == 0:
-				case q[1].key&lineKeyValid == 0:
-					victim = &q[1]
-				case q[2].key&lineKeyValid == 0:
-					victim = &q[2]
-				case q[3].key&lineKeyValid == 0:
-					victim = &q[3]
-				default:
-					if q[1].lru < victim.lru {
-						victim = &q[1]
-					}
-					if q[2].lru < victim.lru {
-						victim = &q[2]
-					}
-					if q[3].lru < victim.lru {
-						victim = &q[3]
-					}
-					ev[victim.class&7]++
-					if victim.dirty != 0 {
-						co[victim.class&7]++
-						castout = true
-					}
-				}
-				*victim = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
-				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-				nmiss++
-				la += step
-			}
-			c.seq = seq
-			c.stats.Misses[class] += uint64(nmiss)
-			c.stats.Fills[class] += uint64(nmiss)
-			for v := 0; v < int(numClasses); v++ {
-				c.stats.EvictedBy[v][class] += ev[v]
-				c.stats.Castouts[v] += co[v]
-			}
-			return nmiss
-		}
-		for i := 0; i < n; i++ {
-			base := int(la&c.setMask) * ways
-			lines := c.lines[base : base+ways]
-			want := la | lineKeyValid
-			seq++
-			dirty := w.dirty(i)
-			way := -1
-			for j := range lines {
-				if lines[j].key == want {
-					way = j
-					break
-				}
-			}
-			if way >= 0 {
-				lines[way].lru = seq
-				lines[way].dirty |= dirty
-				la += step
-				continue
-			}
-			victim := 0
-			castout := false
-			minLRU := ^uint64(0)
-			for j := range lines {
-				if lines[j].key&lineKeyValid == 0 {
-					victim = j
-					goto install
-				}
-				if lines[j].lru < minLRU {
-					minLRU = lines[j].lru
-					victim = j
-				}
-			}
-			ev[lines[victim].class&7]++
-			if lines[victim].dirty != 0 {
-				co[lines[victim].class&7]++
-				castout = true
-			}
-		install:
-			lines[victim] = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
-			misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-			nmiss++
-			la += step
-		}
-		c.seq = seq
-		c.stats.Misses[class] += uint64(nmiss)
-		c.stats.Fills[class] += uint64(nmiss)
-		for v := 0; v < int(numClasses); v++ {
-			c.stats.EvictedBy[v][class] += ev[v]
-			c.stats.Castouts[v] += co[v]
-		}
-		return nmiss
-	}
-	// General shape: group the references by the line they land on (the
-	// grouping scan is division-free; line-crossing groups are short).
-	for i := 0; i < n; {
-		a := pa + arch.PhysAddr(i*stride)
-		la := uint32(a) >> c.lineShift
-		k := 1
-		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-			k++
-		}
-		set := int(la & c.setMask)
-		lines := c.setLines(set)
-		want := la | lineKeyValid
-		way := -1
-		for j := range lines {
-			if lines[j].key == want {
-				way = j
-				break
-			}
-		}
-		if way >= 0 {
-			c.seq += uint64(k)
-			lines[way].lru = c.seq
-			if w.anyIn(i, k) {
-				lines[way].dirty = 1
-			}
-		} else {
-			// The first reference misses and fills; the remaining k-1
-			// hit the freshly filled line.
-			c.seq++
-			c.stats.Misses[class]++
-			castout := c.fill(set, la, class, w.anyIn(i, k))
-			misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
-			nmiss++
-			if k > 1 {
-				c.seq += uint64(k - 1)
-				for j := range lines {
-					if lines[j].key == want {
-						lines[j].lru = c.seq
-						break
-					}
-				}
-			}
-		}
-		i += k
-	}
+	nmiss, _ = c.run(pa, n, stride, class, w, misses)
 	return nmiss
 }
 
@@ -580,7 +478,7 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n, stride int, class Class, w WriteP
 //mmutricks:free miss/castout counts are returned; the caller charges them
 //mmutricks:noalloc
 func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, write bool) (nmiss, ncast int) {
-	return c.AccessRunCountPattern(pa, n, stride, class, WritesIf(write))
+	return c.run(pa, n, stride, class, WritesIf(write), nil)
 }
 
 // AccessRunCountPattern is AccessRun without the per-miss records:
@@ -593,216 +491,129 @@ func (c *Cache) AccessRunCount(pa arch.PhysAddr, n, stride int, class Class, wri
 //mmutricks:free miss/castout counts are returned; the machine layer charges them
 //mmutricks:noalloc
 func (c *Cache) AccessRunCountPattern(pa arch.PhysAddr, n, stride int, class Class, w WritePattern) (nmiss, ncast int) {
-	c.stats.Accesses[class] += uint64(n)
-	lineSize := 1 << c.lineShift
-	if stride&(lineSize-1) == 0 && uint32(pa)&uint32(lineSize-1) == 0 && c.ways == 4 {
-		la := uint32(pa) >> c.lineShift
-		step := uint32(stride) >> c.lineShift
-		seq := c.seq
-		mask := c.setMask
-		lines := c.lines
-		var ev, co [8]uint64
+	return c.run(pa, n, stride, class, w, nil)
+}
+
+// run is AccessRun and AccessRunCountPattern: it records each miss in
+// misses unless misses is nil, and counts misses and castouts.
+//
+//mmutricks:noalloc
+func (c *Cache) run(pa arch.PhysAddr, n, stride int, class Class, w WritePattern, misses []MissRef) (nmiss, ncast int) {
+	if c.ways != 4 {
+		// Other geometries (the 1-way L2, test caches) take the scalar
+		// loop the 4-way kernels below are equivalent to.
 		for i := 0; i < n; i++ {
-			q := (*[4]line)(lines[int(la&mask)*4:])
-			want := la | lineKeyValid
-			seq++
-			dirty := w.dirty(i)
-			// Probe all four ways with conditional moves, then branch
-			// once on hit/miss — runs are phase-coherent (a clear run
-			// misses throughout, a warm run hits throughout), so the
-			// single branch predicts well.
-			wi := -1
-			if q[0].key == want {
-				wi = 0
-			}
-			if q[1].key == want {
-				wi = 1
-			}
-			if q[2].key == want {
-				wi = 2
-			}
-			if q[3].key == want {
-				wi = 3
-			}
-			if wi >= 0 {
-				p := &q[wi&3]
-				p.lru = seq
-				p.dirty |= dirty
-				la += step
-				continue
-			}
-			vi := 0
-			if q[0].key&q[1].key&q[2].key&q[3].key&lineKeyValid != 0 {
-				// Set full: evict the LRU way. A tournament over
-				// preloaded stamps keeps the loads independent; every
-				// comparison is strict, so the earliest way wins ties
-				// exactly as the scalar scan decides them.
-				l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-				m01, i01 := l0, 0
-				if l1 < l0 {
-					m01, i01 = l1, 1
+			if hit, castout := c.Access(pa+arch.PhysAddr(i*stride), class, w.Write(i)); !hit {
+				if misses != nil {
+					misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
 				}
-				m23, i23 := l2, 2
-				if l3 < l2 {
-					m23, i23 = l3, 3
-				}
-				vi = i01
-				if m23 < m01 {
-					vi = i23
-				}
-				ev[q[vi].class&7]++
-				if q[vi].dirty != 0 {
-					co[q[vi].class&7]++
+				nmiss++
+				if castout {
 					ncast++
 				}
-			} else {
-				// A free way exists: take the first invalid one.
-				switch {
-				case q[0].key&lineKeyValid == 0:
-				case q[1].key&lineKeyValid == 0:
-					vi = 1
-				case q[2].key&lineKeyValid == 0:
-					vi = 2
-				default:
-					vi = 3
+			}
+		}
+		return nmiss, ncast
+	}
+	c.stats.Accesses[class] += uint64(n)
+	blocks, mask := c.blocks, c.setMask
+	if lineMask := uint32(1)<<c.lineShift - 1; (uint32(stride)|uint32(pa))&lineMask == 0 {
+		// The dominant shape: line-aligned references a line multiple
+		// apart, one reference per line. Runs are phase-coherent — a
+		// warm run hits throughout, a clearing run misses throughout —
+		// so hits stream through hits4 and misses through the loop
+		// below it, and the miss path's register pressure stays out of
+		// the hit loop.
+		seq := c.seq
+		la := uint32(pa) >> c.lineShift
+		step := uint32(stride) >> c.lineShift
+		for i := 0; i < n; {
+			i, la, seq = hits4(blocks, mask, la, step, i, n, w, seq)
+			for ; i < n; i, la = i+1, la+step {
+				q := &blocks[la&mask]
+				if probe4(q, la|lineKeyValid) >= 0 {
+					break
+				}
+				seq++
+				castout := c.install(&q[victim4(q)&3], la|lineKeyValid, class, w.dirty(i), seq)
+				if misses != nil {
+					misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
+				}
+				nmiss++
+				if castout {
+					ncast++
 				}
 			}
-			q[vi] = line{key: want, class: uint8(class), dirty: dirty, lru: seq}
-			nmiss++
-			la += step
 		}
 		c.seq = seq
 		c.stats.Misses[class] += uint64(nmiss)
-		c.stats.Fills[class] += uint64(nmiss)
-		for v := 0; v < int(numClasses); v++ {
-			c.stats.EvictedBy[v][class] += ev[v]
-			c.stats.Castouts[v] += co[v]
-		}
 		return nmiss, ncast
 	}
-	if c.ways == 4 {
-		// Sub-line strides group into per-line streaks of a few
-		// references; the same unrolled 4-way probe applies per group.
-		for i := 0; i < n; {
-			a := pa + arch.PhysAddr(i*stride)
-			la := uint32(a) >> c.lineShift
-			k := 1
-			for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-				k++
-			}
-			q := (*[4]line)(c.lines[int(la&c.setMask)*4:])
-			want := la | lineKeyValid
-			wi := -1
-			if q[0].key == want {
-				wi = 0
-			}
-			if q[1].key == want {
-				wi = 1
-			}
-			if q[2].key == want {
-				wi = 2
-			}
-			if q[3].key == want {
-				wi = 3
-			}
-			if wi >= 0 {
-				c.seq += uint64(k)
-				p := &q[wi&3]
-				p.lru = c.seq
-				if w.anyIn(i, k) {
-					p.dirty = 1
-				}
-			} else {
-				c.seq++
-				c.stats.Misses[class]++
-				c.stats.Fills[class]++
-				vi := 0
-				if q[0].key&q[1].key&q[2].key&q[3].key&lineKeyValid != 0 {
-					l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-					m01, i01 := l0, 0
-					if l1 < l0 {
-						m01, i01 = l1, 1
-					}
-					m23, i23 := l2, 2
-					if l3 < l2 {
-						m23, i23 = l3, 3
-					}
-					vi = i01
-					if m23 < m01 {
-						vi = i23
-					}
-					c.stats.EvictedBy[q[vi].class&7][class]++
-					if q[vi].dirty != 0 {
-						c.stats.Castouts[q[vi].class&7]++
-						ncast++
-					}
-				} else {
-					switch {
-					case q[0].key&lineKeyValid == 0:
-					case q[1].key&lineKeyValid == 0:
-						vi = 1
-					case q[2].key&lineKeyValid == 0:
-						vi = 2
-					default:
-						vi = 3
-					}
-				}
-				var d uint8
-				if w.anyIn(i, k) {
-					d = 1
-				}
-				nmiss++
-				// Install, then restamp with the group's trailing hits.
-				c.seq += uint64(k - 1)
-				q[vi&3] = line{key: want, class: uint8(class), dirty: d, lru: c.seq}
-			}
-			i += k
-		}
-		return nmiss, ncast
-	}
+	// Sub-line strides or an unaligned base: group the references by
+	// the line they land on; a streak of k references is one probe with
+	// the sequence advanced by k, as in ref.
 	for i := 0; i < n; {
-		a := pa + arch.PhysAddr(i*stride)
-		la := uint32(a) >> c.lineShift
-		k := 1
-		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-			k++
-		}
-		set := int(la & c.setMask)
-		lines := c.setLines(set)
-		want := la | lineKeyValid
-		way := -1
-		for j := range lines {
-			if lines[j].key == want {
-				way = j
-				break
-			}
-		}
-		if way >= 0 {
-			c.seq += uint64(k)
-			lines[way].lru = c.seq
-			if w.anyIn(i, k) {
-				lines[way].dirty = 1
-			}
+		la, k := c.streak(pa, i, n, stride)
+		c.seq += uint64(k)
+		q := &blocks[la&mask]
+		dirty := dirtyIf(w.anyIn(i, k))
+		if wi := probe4(q, la|lineKeyValid); wi >= 0 {
+			q[wi&3].lru = c.seq
+			q[wi&3].dirty |= dirty
 		} else {
-			c.seq++
-			c.stats.Misses[class]++
-			if c.fill(set, la, class, w.anyIn(i, k)) {
-				ncast++
+			castout := c.install(&q[victim4(q)&3], la|lineKeyValid, class, dirty, c.seq)
+			if misses != nil {
+				misses[nmiss] = MissRef{Index: int32(i), Castout: castout}
 			}
 			nmiss++
-			if k > 1 {
-				c.seq += uint64(k - 1)
-				for j := range lines {
-					if lines[j].key == want {
-						lines[j].lru = c.seq
-						break
-					}
-				}
+			if castout {
+				ncast++
 			}
 		}
 		i += k
 	}
+	c.stats.Misses[class] += uint64(nmiss)
 	return nmiss, ncast
+}
+
+// hits4 stamps the references of an aligned run on a 4-way cache that
+// hit, from reference i (line la) up to the first miss or the end of
+// the run, and reports where it stopped. It is a leaf of its own, kept
+// out of line even where profile-guided inlining would pull it into
+// run, so the hit loop keeps its state in registers: inlined, it shares
+// run's register allocation with the miss loop and spills.
+//
+//go:noinline
+//mmutricks:noalloc
+func hits4(blocks [][4]line, mask, la, step uint32, i, n int, w WritePattern, seq uint64) (int, uint32, uint64) {
+	for ; i < n; i, la = i+1, la+step {
+		q := &blocks[la&mask]
+		wi := probe4(q, la|lineKeyValid)
+		if wi < 0 {
+			break
+		}
+		seq++
+		q[wi&3].lru = seq
+		if w.dirty(i) != 0 {
+			q[wi&3].dirty = 1
+		}
+	}
+	return i, la, seq
+}
+
+// streak returns the line address of reference i of a run and how many
+// consecutive references from i land on that line. The scan is
+// division-free; streaks of sub-line strides are short.
+//
+//mmutricks:noalloc
+func (c *Cache) streak(pa arch.PhysAddr, i, n, stride int) (la uint32, k int) {
+	a := pa + arch.PhysAddr(i*stride)
+	la = uint32(a) >> c.lineShift
+	k = 1
+	for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
+		k++
+	}
+	return la, k
 }
 
 // AccessNoAllocRun is AccessRun under a locked cache (§10.1): hits
@@ -815,29 +626,12 @@ func (c *Cache) AccessRunCountPattern(pa arch.PhysAddr, n, stride int, class Cla
 func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w WritePattern, misses []MissRef) (nmiss int) {
 	c.stats.Accesses[class] += uint64(n)
 	for i := 0; i < n; {
-		a := pa + arch.PhysAddr(i*stride)
-		la := uint32(a) >> c.lineShift
-		k := 1
-		for i+k < n && uint32(a+arch.PhysAddr(k*stride))>>c.lineShift == la {
-			k++
-		}
-		set := c.setLines(int(la & c.setMask))
-		want := la | lineKeyValid
-		way := -1
-		for j := range set {
-			if set[j].key == want {
-				way = j
-				break
-			}
-		}
+		la, k := c.streak(pa, i, n, stride)
 		c.seq += uint64(k)
-		if way >= 0 {
-			set[way].lru = c.seq
-			if w.anyIn(i, k) {
-				set[way].dirty = 1
-			}
+		if l := c.lookup(int(la&c.setMask), la|lineKeyValid); l != nil {
+			l.lru = c.seq
+			l.dirty |= dirtyIf(w.anyIn(i, k))
 		} else {
-			c.stats.Misses[class] += uint64(k)
 			for j := 0; j < k; j++ {
 				misses[nmiss] = MissRef{Index: int32(i + j)}
 				nmiss++
@@ -845,6 +639,7 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w
 		}
 		i += k
 	}
+	c.stats.Misses[class] += uint64(nmiss)
 	return nmiss
 }
 
@@ -855,8 +650,11 @@ func (c *Cache) AccessNoAllocRun(pa arch.PhysAddr, n, stride int, class Class, w
 //mmutricks:free castouts are returned; machine.ZeroLineRun charges them
 //mmutricks:noalloc
 func (c *Cache) ZeroLineRun(pa arch.PhysAddr, nlines int, class Class) (castouts int) {
+	c.stats.Accesses[class] += uint64(nlines)
+	la := uint32(pa) >> c.lineShift
 	for i := 0; i < nlines; i++ {
-		if c.ZeroLine(pa+arch.PhysAddr(i<<c.lineShift), class) {
+		c.seq++
+		if _, castout := c.ref(la+uint32(i), class, 1, c.seq); castout {
 			castouts++
 		}
 	}
@@ -878,18 +676,9 @@ func (c *Cache) AccessInhibitedN(class Class, n int) {
 //
 //mmutricks:free prefetch latency overlaps; machine.Prefetch charges the issue cost
 func (c *Cache) Prefetch(pa arch.PhysAddr, class Class) (filled bool) {
-	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
 	c.seq++
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].lru = c.seq
-			return false
-		}
-	}
-	c.fill(set, tag, class, false)
-	return true
+	hit, _ := c.ref(uint32(pa)>>c.lineShift, class, 0, c.seq)
+	return !hit
 }
 
 // Touch fills a line without counting an access or a miss; used to
@@ -897,111 +686,19 @@ func (c *Cache) Prefetch(pa arch.PhysAddr, class Class) (filled bool) {
 //
 //mmutricks:free deliberately uncounted warm-up, outside the measured window
 func (c *Cache) Touch(pa arch.PhysAddr, class Class) {
-	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	c.seq++
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i].lru = c.seq
-			return
-		}
-	}
-	c.fill(set, tag, class, false)
-}
-
-// fill installs a line, evicting the LRU way if the set is full. It
-// reports whether the victim was dirty (requiring a writeback).
-//
-//mmutricks:noalloc
-func (c *Cache) fill(set int, tag uint32, class Class, write bool) (castout bool) {
-	c.stats.Fills[class]++
-	var dirty uint8
-	if c.ways == 4 {
-		q := (*[4]line)(c.lines[set*4:])
-		vi := 0
-		if q[0].key&q[1].key&q[2].key&q[3].key&lineKeyValid != 0 {
-			l0, l1, l2, l3 := q[0].lru, q[1].lru, q[2].lru, q[3].lru
-			m01, i01 := l0, 0
-			if l1 < l0 {
-				m01, i01 = l1, 1
-			}
-			m23, i23 := l2, 2
-			if l3 < l2 {
-				m23, i23 = l3, 3
-			}
-			vi = i01
-			if m23 < m01 {
-				vi = i23
-			}
-			c.stats.EvictedBy[q[vi].class&7][class]++
-			if q[vi].dirty != 0 {
-				c.stats.Castouts[q[vi].class&7]++
-				castout = true
-			}
-		} else {
-			switch {
-			case q[0].key&lineKeyValid == 0:
-			case q[1].key&lineKeyValid == 0:
-				vi = 1
-			case q[2].key&lineKeyValid == 0:
-				vi = 2
-			default:
-				vi = 3
-			}
-		}
-		if write {
-			dirty = 1
-		}
-		q[vi] = line{key: tag | lineKeyValid, class: uint8(class), dirty: dirty, lru: c.seq}
-		return castout
-	}
-	lines := c.setLines(set)
-	victim := 0
-	minLRU := ^uint64(0)
-	for i := range lines {
-		if lines[i].key&lineKeyValid == 0 {
-			victim = i
-			goto install
-		}
-		if lines[i].lru < minLRU {
-			minLRU = lines[i].lru
-			victim = i
-		}
-	}
-	c.stats.EvictedBy[lines[victim].class][class]++
-	if lines[victim].dirty != 0 {
-		c.stats.Castouts[lines[victim].class]++
-		castout = true
-	}
-install:
-	if write {
-		dirty = 1
-	}
-	lines[victim] = line{key: tag | lineKeyValid, class: uint8(class), dirty: dirty, lru: c.seq}
-	return castout
+	c.Prefetch(pa, class)
 }
 
 // Contains reports whether the line holding pa is currently resident.
 func (c *Cache) Contains(pa arch.PhysAddr) bool {
-	set, tag := c.index(pa)
-	want := tag | lineKeyValid
-	for _, l := range c.setLines(set) {
-		if l.key == want {
-			return true
-		}
-	}
-	return false
+	la := uint32(pa) >> c.lineShift
+	return c.lookup(int(la&c.setMask), la|lineKeyValid) != nil
 }
 
 // InvalidateAll empties the cache (used at machine reset).
 //
 //mmutricks:free machine reset happens outside any measured window
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
+func (c *Cache) InvalidateAll() { clear(c.blocks) }
 
 // ResetStats zeroes the counters without touching cache contents, so a
 // benchmark can warm up and then measure.
@@ -1021,10 +718,10 @@ func (c *Cache) CorruptCleanLine(rnd uint64, avoid arch.PhysAddr) (victim arch.P
 	avoidKey := (uint32(avoid) >> c.lineShift) | lineKeyValid
 	start := uint32(rnd) & c.setMask
 	for i := 0; i < c.Sets(); i++ {
-		set := c.setLines(int((start + uint32(i)) & c.setMask))
-		for j := range set {
-			if set[j].key&lineKeyValid != 0 && set[j].dirty == 0 && set[j].key != avoidKey {
-				return arch.PhysAddr(set[j].key&^lineKeyValid) << c.lineShift, true
+		set := int((start + uint32(i)) & c.setMask)
+		for f := set * c.ways; f < (set+1)*c.ways; f++ {
+			if l := c.slot(f); l.key&lineKeyValid != 0 && l.dirty == 0 && l.key != avoidKey {
+				return arch.PhysAddr(l.key&^lineKeyValid) << c.lineShift, true
 			}
 		}
 	}
@@ -1038,14 +735,10 @@ func (c *Cache) CorruptCleanLine(rnd uint64, avoid arch.PhysAddr) (victim arch.P
 //mmutricks:free the caller (the machine-check handler) charges the repair
 //mmutricks:noalloc
 func (c *Cache) InvalidateLine(pa arch.PhysAddr) bool {
-	set, tag := c.index(pa)
-	lines := c.setLines(set)
-	want := tag | lineKeyValid
-	for i := range lines {
-		if lines[i].key == want {
-			lines[i] = line{}
-			return true
-		}
+	la := uint32(pa) >> c.lineShift
+	if l := c.lookup(int(la&c.setMask), la|lineKeyValid); l != nil {
+		*l = line{}
+		return true
 	}
 	return false
 }
@@ -1054,9 +747,11 @@ func (c *Cache) InvalidateLine(pa arch.PhysAddr) bool {
 // the cache, used by the §9 analysis.
 func (c *Cache) Residency() map[Class]int {
 	m := make(map[Class]int)
-	for i := range c.lines {
-		if c.lines[i].key&lineKeyValid != 0 {
-			m[Class(c.lines[i].class)]++
+	for i := range c.blocks {
+		for _, l := range &c.blocks[i] {
+			if l.key&lineKeyValid != 0 {
+				m[Class(l.class)]++
+			}
 		}
 	}
 	return m
@@ -1065,9 +760,11 @@ func (c *Cache) Residency() map[Class]int {
 // DirtyLines counts resident dirty lines — pending writebacks.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].key&lineKeyValid != 0 && c.lines[i].dirty != 0 {
-			n++
+	for i := range c.blocks {
+		for _, l := range &c.blocks[i] {
+			if l.key&lineKeyValid != 0 && l.dirty != 0 {
+				n++
+			}
 		}
 	}
 	return n

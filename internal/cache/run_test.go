@@ -56,9 +56,9 @@ func sameState(t *testing.T, run, scalar *Cache) {
 	if run.seq != scalar.seq {
 		t.Fatalf("LRU sequence diverges: run %d, scalar %d", run.seq, scalar.seq)
 	}
-	for i := range run.lines {
-		if run.lines[i] != scalar.lines[i] {
-			t.Fatalf("line %d diverges: run %+v, scalar %+v", i, run.lines[i], scalar.lines[i])
+	for i := range run.blocks {
+		if run.blocks[i] != scalar.blocks[i] {
+			t.Fatalf("block %d diverges: run %+v, scalar %+v", i, run.blocks[i], scalar.blocks[i])
 		}
 	}
 }
@@ -238,6 +238,7 @@ func TestAccessRunZeroAllocs(t *testing.T) {
 		c.AccessNoAllocRun(pa, 128, 32, ClassUser, AllWrites, missBuf[:])
 		c.AccessRunCount(pa, 128, 32, ClassUser, true)
 		c.AccessRunCountPattern(pa+4, 100, 12, ClassUser, EveryFourthWrite)
+		c.ZeroLineRun(pa, 128, ClassIdle)
 		pa += 4096
 	}); n != 0 {
 		t.Fatalf("batched access paths allocate %.1f times per op, want 0", n)
@@ -268,4 +269,44 @@ func BenchmarkAccessScalar(b *testing.B) {
 		}
 		pa += 4096
 	}
+}
+
+// BenchmarkAccessRunHits is the user-touch shape of a kernel compile:
+// one patterned (EveryFourthWrite) reference per line over a page, on
+// a working set the cache already holds — every reference hits.
+func BenchmarkAccessRunHits(b *testing.B) {
+	c := New("d", 16<<10, 4, 32)
+	for p := 0; p < 4; p++ { // four pages fill all four ways
+		c.AccessRunCountPattern(arch.PhysAddr(p*4096), 128, 32, ClassUser, EveryFourthWrite)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AccessRunCountPattern(arch.PhysAddr(i&3*4096), 128, 32, ClassUser, EveryFourthWrite)
+	}
+}
+
+// BenchmarkAccessShortRuns measures the fixed cost of a short run, the
+// shapes that dominate translation-heavy streams: a 3-line aligned
+// handler fetch, and an 8-reference stride-8 search of one 64-byte
+// hash-table group (two lines), scattered over a 64 KB table so hits
+// and misses mix.
+func BenchmarkAccessShortRuns(b *testing.B) {
+	b.Run("fetch3", func(b *testing.B) {
+		c := New("i", 16<<10, 4, 32)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.AccessRunCountPattern(arch.PhysAddr(0x3000+(i&15)*0x140), 3, 32, ClassKernelText, NoWrites)
+		}
+	})
+	b.Run("pteg8", func(b *testing.B) {
+		c := New("d", 16<<10, 4, 32)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pteg := uint32(i) * 2654435761 >> 22 // 1024 groups
+			c.AccessRunCountPattern(arch.PhysAddr(0x100000+pteg*64), 8, 8, ClassHashTable, NoWrites)
+		}
+	})
 }

@@ -172,7 +172,7 @@ func (k *Kernel) ptInhibited() bool { return !k.cfg.CachePageTables }
 // and page faults on the way. This is the simulated equivalent of one
 // load/store (or one line's instruction fetch) issued by running code.
 func (k *Kernel) access(t *Task, ea arch.EffectiveAddr, instr bool, class cache.Class, write bool) {
-	if write && t != nil && !ea.IsKernel() && t.storeTraps(ea.PageNumber()) {
+	if write && t.storeTraps(ea) {
 		pn := ea.PageNumber()
 		if t.isCOW(pn) {
 			k.cowBreak(t, ea)

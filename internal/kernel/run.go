@@ -201,7 +201,7 @@ func (k *Kernel) AccessRun(t *Task, r Run) {
 				cnt = n
 			}
 		}
-		if w != cache.NoWrites && t != nil && !ea.IsKernel() && t.storeTraps(ea.PageNumber()) {
+		if w != cache.NoWrites && t.storeTraps(ea) {
 			streak := r
 			streak.EA, streak.Count, streak.Writes = ea, cnt, w
 			k.accessEach(t, streak) //mmutricks:noalloc-ok scalar fallback runs the allocating fault/COW paths by design

@@ -103,6 +103,11 @@ type twinEnv struct {
 	trace  bool // the event tracer recording
 	locked bool // the data-cache lock engaged (§10.1)
 	inject bool // an armed fault injector attached
+	// scalar attaches a fault injector that is never armed: it injects
+	// nothing, but its presence sends every batched path down the
+	// scalar one, which makes the twin a scalar reference for whole
+	// syscalls.
+	scalar bool
 }
 
 // boot builds one twin: a kernel with one current task that has a
@@ -114,7 +119,7 @@ func (e twinEnv) boot(t *testing.T) (*Kernel, *Task) {
 		model.L2Size, model.L2Latency = 256<<10, 9
 	}
 	var opts machine.Options
-	if e.inject {
+	if e.inject || e.scalar {
 		sched := faultinject.DefaultSchedule(7)
 		sched.RatePPM = 20000
 		opts.Injector = faultinject.New(sched)
@@ -128,7 +133,7 @@ func (e twinEnv) boot(t *testing.T) (*Kernel, *Task) {
 	if e.locked {
 		k.M.SetCacheLock(true)
 	}
-	if opts.Injector != nil {
+	if e.inject {
 		opts.Injector.Arm()
 	} else {
 		t.Cleanup(func() {
@@ -297,6 +302,69 @@ func TestUserTouchMatchesScalar(t *testing.T) {
 	}
 	for _, env := range twinEnvs() {
 		t.Run(env.name, func(t *testing.T) { diffRun(t, env, steps) })
+	}
+}
+
+// The copy syscalls choose the scalar or the batched path per page
+// streak: a streak that stores to a COW or write-protected page runs
+// scalar, the rest stay batched. A forked task's pipe reads, UserZero
+// and UserCopy over COW and write-protected pages must leave the
+// machine exactly as a twin whose every path is scalar.
+func TestCopySyscallsMatchScalar(t *testing.T) {
+	page := func(i int) arch.EffectiveAddr { return UserDataBase + arch.EffectiveAddr(i*arch.PageSize) }
+	pipes := map[*Kernel]*Pipe{}
+	fill := func(k *Kernel, _ *Task) { k.SysPipeWrite(pipes[k], page(0)+0x24, 3000) }
+	read := func(dst arch.EffectiveAddr, n int) func(*Kernel, *Task) {
+		return func(k *Kernel, _ *Task) { k.SysPipeRead(pipes[k], dst, n) }
+	}
+	zero := func(ea arch.EffectiveAddr, n int, dcbz bool) func(*Kernel, *Task) {
+		return func(k *Kernel, _ *Task) { k.UserZero(ea, n, dcbz) }
+	}
+	copyTo := func(dst, src arch.EffectiveAddr, n int) func(*Kernel, *Task) {
+		return func(k *Kernel, _ *Task) { k.UserCopy(dst, src, n) }
+	}
+	steps := []runStep{
+		{name: "fault eight pages in", touch: &touchRange{page(0), 8 * arch.PageSize}},
+		{name: "open a pipe and fill it",
+			op: func(k *Kernel, tk *Task) { pipes[k] = k.SysPipe(); fill(k, tk) }},
+		{name: "fork: every private page goes COW",
+			op: func(k *Kernel, _ *Task) { k.Fork() }},
+		{name: "pipe read across COW pages 1-2", op: read(page(1)+0xF00, 2000)},
+		{name: "stores zero COW pages 2-4", op: zero(page(2)+0x100, 2*arch.PageSize, false)},
+		{name: "dcbz across COW pages 4-5", op: zero(page(4)+0x80, 6000, true)},
+		{name: "write-protect page 6",
+			op: func(k *Kernel, _ *Task) { k.SysMprotect(page(6), 1, true) }},
+		{name: "copy onto COW page 5 and protected page 6", op: copyTo(page(5)+0x800, page(0)+0x40, 5000)},
+		{name: "refill the pipe", op: fill},
+		{name: "pipe read across protected page 6 and COW page 7", op: read(page(6)+0xE00, 1500)},
+		{name: "stores zero the protected page", op: zero(page(6), arch.PageSize, false)},
+		{name: "copy over broken pages", op: copyTo(page(1), page(3)+0x10, 3*arch.PageSize)},
+		{name: "refill the pipe again", op: fill},
+		{name: "pipe read into broken pages", op: read(page(2)+0x10, 2500)},
+	}
+	for _, env := range twinEnvs() {
+		if env.inject {
+			continue
+		}
+		t.Run(env.name, func(t *testing.T) {
+			kb, tb := env.boot(t)
+			scalar := env
+			scalar.scalar = true
+			ks, ts := scalar.boot(t)
+			for _, st := range steps {
+				if st.touch != nil {
+					kb.UserTouch(st.touch.ea, st.touch.nbytes)
+					ks.UserTouch(st.touch.ea, st.touch.nbytes)
+				}
+				if st.op != nil {
+					st.op(kb, tb)
+					st.op(ks, ts)
+				}
+				if d := divergence(observeRun(kb), observeRun(ks)); d != "" {
+					t.Fatalf("%s: batched and scalar state diverge: %s", st.name, d)
+				}
+			}
+		})
 	}
 }
 

@@ -129,17 +129,6 @@ func (k *Kernel) copyUserKernel(user arch.EffectiveAddr, frame arch.PFN, frameOf
 	line := k.M.LineSize()
 	t := k.cur
 	userWrite := !toKernel
-	if k.M.Inj != nil || (userWrite && t != nil && (len(t.cowPages) > 0 || len(t.roPages) > 0)) {
-		// Injection polls and pending COW/RO write checks are
-		// per-reference; keep the scalar interleaving.
-		for i := 0; i < n; i += line {
-			k.access(t, user+arch.EffectiveAddr(i), false, cache.ClassUser, userWrite)
-			koff := (frameOff + i) % arch.PageSize
-			k.M.MemAccess(frame.Addr()+arch.PhysAddr(koff), cache.ClassKernelData, false, toKernel)
-		}
-		k.M.Led.Charge(clock.Cycles(2 * (n / line)))
-		return
-	}
 	total := (n + line - 1) / line
 	done := 0
 	for done < total {
@@ -149,6 +138,16 @@ func (k *Kernel) copyUserKernel(user arch.EffectiveAddr, frame arch.PFN, frameOf
 		cnt := min(total-done, min(
 			(arch.PageSize-int(ea.Offset())+line-1)/line,
 			(arch.PageSize-koff+line-1)/line))
+		if k.M.Inj != nil || (userWrite && t.storeTraps(ea)) {
+			// Injection polls and COW/protection store checks are
+			// per-reference: this streak keeps the scalar interleaving.
+			for j := range cnt {
+				k.access(t, ea+arch.EffectiveAddr(j*line), false, cache.ClassUser, userWrite)
+				k.M.MemAccess(frame.Addr()+arch.PhysAddr(koff+j*line), cache.ClassKernelData, false, toKernel)
+			}
+			done += cnt
+			continue
+		}
 		// The first reference translates through the full path, so a
 		// user fault resolves at the exact scalar point in the stream.
 		pa, inh := k.translate(t, ea, false)
@@ -420,31 +419,32 @@ func (k *Kernel) UserZero(ea arch.EffectiveAddr, nbytes int, dcbz bool) {
 		panic("kernel: UserZero with no current task")
 	}
 	line := k.M.LineSize()
-	if k.M.Inj != nil || len(t.cowPages) > 0 {
-		for i := 0; i < nbytes; i += line {
-			a := ea + arch.EffectiveAddr(i)
-			if t.isCOW(a.PageNumber()) {
-				k.cowBreak(t, a)
-			}
-			pa, inhibited := k.translate(t, a, false)
-			switch {
-			case inhibited:
-				k.M.MemAccess(pa, cache.ClassUser, true, true)
-			case dcbz:
-				k.M.ZeroLine(pa, cache.ClassUser)
-			default:
-				k.M.MemAccess(pa, cache.ClassUser, false, true)
-			}
-		}
-		// One store-address update per line either way.
-		k.M.Led.Charge(clock.Cycles(nbytes / line))
-		return
-	}
 	total := (nbytes + line - 1) / line
 	done := 0
 	for done < total {
 		a := ea + arch.EffectiveAddr(done*line)
 		cnt := min(total-done, (arch.PageSize-int(a.Offset())+line-1)/line)
+		if k.M.Inj != nil || t.storeTraps(a) {
+			// Injection polls and COW/protection store checks are
+			// per-reference: this streak runs line by line.
+			for j := range cnt {
+				la := a + arch.EffectiveAddr(j*line)
+				if t.isCOW(la.PageNumber()) {
+					k.cowBreak(t, la)
+				}
+				pa, inhibited := k.translate(t, la, false)
+				switch {
+				case inhibited:
+					k.M.MemAccess(pa, cache.ClassUser, true, true)
+				case dcbz:
+					k.M.ZeroLine(pa, cache.ClassUser)
+				default:
+					k.M.MemAccess(pa, cache.ClassUser, false, true)
+				}
+			}
+			done += cnt
+			continue
+		}
 		pa, inhibited := k.translate(t, a, false)
 		if inhibited {
 			k.M.MemAccess(pa, cache.ClassUser, true, true)
@@ -473,14 +473,6 @@ func (k *Kernel) UserCopy(dst, src arch.EffectiveAddr, nbytes int) {
 	}
 	t := k.cur
 	line := k.M.LineSize()
-	if k.M.Inj != nil || len(t.cowPages) > 0 || len(t.roPages) > 0 {
-		for i := 0; i < nbytes; i += line {
-			k.access(t, src+arch.EffectiveAddr(i), false, cache.ClassUser, false)
-			k.access(t, dst+arch.EffectiveAddr(i), false, cache.ClassUser, true)
-		}
-		k.M.Led.Charge(clock.Cycles(2 * (nbytes / line)))
-		return
-	}
 	total := (nbytes + line - 1) / line
 	done := 0
 	for done < total {
@@ -489,6 +481,16 @@ func (k *Kernel) UserCopy(dst, src arch.EffectiveAddr, nbytes int) {
 		cnt := min(total-done, min(
 			(arch.PageSize-int(s.Offset())+line-1)/line,
 			(arch.PageSize-int(d.Offset())+line-1)/line))
+		if k.M.Inj != nil || t.storeTraps(d) {
+			// Injection polls and COW/protection store checks are
+			// per-reference: this streak runs pair by pair.
+			for j := range cnt {
+				k.access(t, s+arch.EffectiveAddr(j*line), false, cache.ClassUser, false)
+				k.access(t, d+arch.EffectiveAddr(j*line), false, cache.ClassUser, true)
+			}
+			done += cnt
+			continue
+		}
 		// The first load/store pair runs the full path so any fault on
 		// either side resolves at the exact scalar point in the stream.
 		spa, sinh := k.translate(t, s, false)

@@ -187,11 +187,18 @@ func (t *Task) isCOW(pn uint32) bool {
 
 func (t *Task) clearCOW(pn uint32) { delete(t.cowPages, pn) }
 
-// storeTraps reports whether a store to page pn traps: a COW break or a
-// protection fault.
+// storeTraps reports whether a store by t to ea traps: a COW break or a
+// protection fault on a user page. Kernel context (a nil task) and
+// kernel addresses never trap. It is the one rule every batched path
+// checks per page streak: a streak that stores to a trapping page runs
+// the scalar path, which observes every reference.
 //
 //mmutricks:noalloc
-func (t *Task) storeTraps(pn uint32) bool {
+func (t *Task) storeTraps(ea arch.EffectiveAddr) bool {
+	if t == nil || ea.IsKernel() {
+		return false
+	}
+	pn := ea.PageNumber()
 	if len(t.cowPages) > 0 && t.isCOW(pn) {
 		return true
 	}

@@ -383,15 +383,17 @@ func (t *Tracer) emit(kind Kind, vs arch.VSID, ea arch.EffectiveAddr, cost clock
 	s.Events++
 	s.CostTotal += uint64(cost)
 
-	t.ring[t.head%uint64(len(t.ring))] = Event{
-		Time: t.led.Now(),
-		Cost: cost,
-		Kind: kind,
-		Task: t.curTask,
-		VSID: vs,
-		EA:   ea,
-		Aux:  aux,
-	}
+	// Field stores straight into the slot: copying a stack-built Event
+	// in would reload it with wide loads that span the narrower stores
+	// just made, which defeats store-to-load forwarding.
+	e := &t.ring[t.head%uint64(len(t.ring))]
+	e.Time = t.led.Now()
+	e.Cost = cost
+	e.Kind = kind
+	e.Task = t.curTask
+	e.VSID = vs
+	e.EA = ea
+	e.Aux = aux
 	t.head++
 }
 

@@ -26,7 +26,7 @@ trap 'rm -rf "$tmp"' EXIT
 echo '== pgo profile freshness'
 go tool pprof -top -nodecount=60 cmd/mmureport/default.pgo > "$tmp/pgo.top"
 for sym in \
-	'cache.(\*Cache).AccessRunCountPattern' \
+	'cache.(\*Cache).run' \
 	'kernel.(\*Kernel).AccessRun' \
 	'machine.(\*Machine).MemAccessRun'; do
 	if ! grep -q "$sym" "$tmp/pgo.top"; then
